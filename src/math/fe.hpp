@@ -1,14 +1,12 @@
 // Prime-field element in Montgomery form, parameterized by a params bundle
-// (field_params.hpp) and a Montgomery-kernel backend. All arithmetic is
-// performed on Montgomery residues; the representation only leaves/enters
-// Montgomery form at the to_u256/from_* boundary. Moduli are at most 254
-// bits, so limb sums never overflow 4 limbs.
+// (field_params.hpp). All arithmetic is performed on Montgomery residues;
+// the representation only leaves/enters Montgomery form at the
+// to_u256/from_* boundary. Moduli are at most 254 bits, so limb sums never
+// overflow 4 limbs.
 //
-// The backend selects the multiplier: kCios is the fully-unrolled
-// compile-time-modulus kernel (default), kPortable the original loop form
-// kept as the differential reference. Both backends share R = 2^256, so the
-// raw Montgomery residues of Fe<P, kCios> and Fe<P, kPortable> are
-// bit-identical — values convert between the twins via raw()/from_raw.
+// Every multiply and reduction runs on the fully-unrolled compile-time-
+// modulus CIOS kernel (u256.hpp). The loop-form portable kernel there is a
+// test and bench reference only; no field type routes through it.
 #pragma once
 
 #include <cstdint>
@@ -18,19 +16,9 @@
 
 namespace mccls::math {
 
-enum class FeBackend { kCios, kPortable };
-
-#if defined(MCCLS_PORTABLE_FIELD)
-inline constexpr FeBackend kDefaultFeBackend = FeBackend::kPortable;
-#else
-inline constexpr FeBackend kDefaultFeBackend = FeBackend::kCios;
-#endif
-
-template <class Params, FeBackend B = kDefaultFeBackend>
+template <class Params>
 class Fe {
  public:
-  static constexpr FeBackend kBackend = B;
-
   constexpr Fe() = default;
 
   static Fe zero() { return Fe{}; }
@@ -43,7 +31,8 @@ class Fe {
   /// Reduces `x` mod m and converts to Montgomery form.
   static Fe from_u256(const U256& x) {
     U256 r = x;
-    // x < 2^256 < 8m for 253+-bit moduli: a short subtraction loop suffices.
+    // x < 2^256, which is < 5p for the 254-bit p but < 19q for the 252-bit
+    // q: the loop subtracts at most 4 times in Fp and 18 times in Fq.
     while (cmp(r, modulus()) >= 0) sub(r, r, modulus());
     return Fe{mont_mul(r, U256{Params::kR2})};
   }
@@ -95,15 +84,10 @@ class Fe {
   }
 
   [[nodiscard]] Fe square() const {
-    // Dedicated squaring on the fast backend: sqr_wide skips the duplicate
-    // off-diagonal limb products (10 instead of 16), then one REDC. The
-    // portable reference keeps the plain multiply — both reduce to the same
-    // canonical residue, so the backends stay bit-identical.
-    if constexpr (B == FeBackend::kCios) {
-      return Fe{mont_redc_cios<Params>(sqr_wide(v_))};
-    } else {
-      return *this * *this;
-    }
+    // Dedicated squaring: sqr_wide skips the duplicate off-diagonal limb
+    // products (10 instead of 16), then one REDC — the same canonical
+    // residue as *this * *this.
+    return Fe{mont_redc_cios<Params>(sqr_wide(v_))};
   }
 
   [[nodiscard]] Fe dbl() const { return *this + *this; }
@@ -132,7 +116,6 @@ class Fe {
 
   /// Raw Montgomery limbs (for hashing/serialization of internal state only).
   [[nodiscard]] const U256& raw() const { return v_; }
-  static Fe from_raw(const U256& mont) { return Fe{mont}; }
 
   // --- Lazy-reduction hooks (see fp2.hpp) ---------------------------------
 
@@ -147,36 +130,18 @@ class Fe {
   /// Montgomery reduction of an accumulated t < m * 2^256; same semantics as
   /// one mont_mul (divides by R), so lazy and eager paths land in the same
   /// representation.
-  static Fe redc(const U512& t) {
-    if constexpr (B == FeBackend::kCios) {
-      return Fe{mont_redc_cios<Params>(t)};
-    } else {
-      return Fe{mont_redc_portable(t, modulus(), Params::kN0Inv)};
-    }
-  }
+  static Fe redc(const U512& t) { return Fe{mont_redc_cios<Params>(t)}; }
 
  private:
   explicit constexpr Fe(const U256& v) : v_(v) {}
 
-  /// Montgomery multiplication, a*b*R^{-1} mod m, via the selected backend.
-  static U256 mont_mul(const U256& a, const U256& b) {
-    if constexpr (B == FeBackend::kCios) {
-      return mont_mul_cios<Params>(a, b);
-    } else {
-      return mont_mul_portable(a, b, modulus(), Params::kN0Inv);
-    }
-  }
+  /// Montgomery multiplication, a*b*R^{-1} mod m.
+  static U256 mont_mul(const U256& a, const U256& b) { return mont_mul_cios<Params>(a, b); }
 
   U256 v_{};  // Montgomery residue, always < modulus
 };
 
 using Fp = Fe<FpParams>;
 using Fq = Fe<FqParams>;
-
-/// Differential-reference twins on the portable kernel (same residues, same
-/// R; only the multiplier differs). Under -DMCCLS_PORTABLE_FIELD these are
-/// the same types as Fp/Fq.
-using FpPortable = Fe<FpParams, FeBackend::kPortable>;
-using FqPortable = Fe<FqParams, FeBackend::kPortable>;
 
 }  // namespace mccls::math

@@ -4,12 +4,10 @@
 // Frobenius map x -> x^p coincides with conjugation, which the pairing's
 // final exponentiation exploits.
 //
-// Fe2 is parameterized on the base-field type so the portable-backend twin
-// (Fe2<FpPortable>) shares this code. On the CIOS backend, operator* uses
-// lazy reduction: the three Karatsuba limb products are accumulated as raw
-// 512-bit integers and reduced once per output coefficient (2 REDCs instead
-// of 3 full Montgomery multiplies' worth of interleaved reduction). Bounds,
-// with m < 2^254 and reduced inputs:
+// operator* uses lazy reduction: the three Karatsuba limb products are
+// accumulated as raw 512-bit integers and reduced once per output
+// coefficient (2 REDCs instead of 3 full Montgomery multiplies' worth of
+// interleaved reduction). Bounds, with m < 2^254 and reduced inputs:
 //   t0, t1 < m^2;  (a0+a1), (b0+b1) < 2m  =>  t2 < 4m^2 < m * 2^256;
 //   re = t0 + m^2 - t1 in [0, 2m^2);  im = t2 - t0 - t1 in [0, 2m^2);
 // so every REDC input stays below m * 2^256 as required.
@@ -19,91 +17,82 @@
 
 namespace mccls::math {
 
-template <class F>
-class Fe2 {
+class Fp2 {
  public:
-  using Base = F;
+  constexpr Fp2() = default;
+  Fp2(const Fp& a, const Fp& b) : a_(a), b_(b) {}
 
-  constexpr Fe2() = default;
-  Fe2(const F& a, const F& b) : a_(a), b_(b) {}
+  static Fp2 zero() { return Fp2{}; }
+  static Fp2 one() { return Fp2{Fp::one(), Fp::zero()}; }
+  static Fp2 from_fp(const Fp& a) { return Fp2{a, Fp::zero()}; }
 
-  static Fe2 zero() { return Fe2{}; }
-  static Fe2 one() { return Fe2{F::one(), F::zero()}; }
-  static Fe2 from_fp(const F& a) { return Fe2{a, F::zero()}; }
-
-  [[nodiscard]] const F& re() const { return a_; }
-  [[nodiscard]] const F& im() const { return b_; }
+  [[nodiscard]] const Fp& re() const { return a_; }
+  [[nodiscard]] const Fp& im() const { return b_; }
 
   [[nodiscard]] bool is_zero() const { return a_.is_zero() && b_.is_zero(); }
   [[nodiscard]] bool is_one() const { return *this == one(); }
 
-  friend Fe2 operator+(const Fe2& x, const Fe2& y) { return {x.a_ + y.a_, x.b_ + y.b_}; }
-  friend Fe2 operator-(const Fe2& x, const Fe2& y) { return {x.a_ - y.a_, x.b_ - y.b_}; }
+  friend Fp2 operator+(const Fp2& x, const Fp2& y) { return {x.a_ + y.a_, x.b_ + y.b_}; }
+  friend Fp2 operator-(const Fp2& x, const Fp2& y) { return {x.a_ - y.a_, x.b_ - y.b_}; }
 
-  friend Fe2 operator*(const Fe2& x, const Fe2& y) {
-    if constexpr (F::kBackend == FeBackend::kCios) {
-      return mul_lazy(x, y);
-    } else {
-      return mul_eager(x, y);
-    }
-  }
+  friend Fp2 operator*(const Fp2& x, const Fp2& y) { return mul_lazy(x, y); }
 
-  /// Karatsuba with one reduction per base multiply (3 total). Kept callable
-  /// on any backend as the reference for the lazy path.
-  static Fe2 mul_eager(const Fe2& x, const Fe2& y) {
-    const F t0 = x.a_ * y.a_;
-    const F t1 = x.b_ * y.b_;
-    const F t2 = (x.a_ + x.b_) * (y.a_ + y.b_);
+  /// Karatsuba with one reduction per base multiply (3 total). Kept as the
+  /// reference for the lazy path.
+  static Fp2 mul_eager(const Fp2& x, const Fp2& y) {
+    const Fp t0 = x.a_ * y.a_;
+    const Fp t1 = x.b_ * y.b_;
+    const Fp t2 = (x.a_ + x.b_) * (y.a_ + y.b_);
     return {t0 - t1, t2 - t0 - t1};
   }
 
   /// Karatsuba with unreduced double-width accumulation: 3 wide products,
   /// 2 REDCs. Identical result to mul_eager (both compute a*b*R^-1 per
   /// coefficient); the qa property fp2_lazy_eq_eager pins this down.
-  static Fe2 mul_lazy(const Fe2& x, const Fe2& y) {
-    const U512 t0 = F::mul_raw(x.a_, y.a_);
-    const U512 t1 = F::mul_raw(x.b_, y.b_);
+  static Fp2 mul_lazy(const Fp2& x, const Fp2& y) {
+    const U512 t0 = Fp::mul_raw(x.a_, y.a_);
+    const U512 t1 = Fp::mul_raw(x.b_, y.b_);
     U256 sx, sy;
     add(sx, x.a_.raw(), x.b_.raw());  // < 2m < 2^255: no carry-out
     add(sy, y.a_.raw(), y.b_.raw());
     const U512 t2 = mul_wide(sx, sy);
     // re = t0 - t1 mod m, lifted non-negative by adding m^2.
     U512 re;
-    sub512(re, F::kModSquared, t1);
+    sub512(re, Fp::kModSquared, t1);
     add512(re, re, t0);
     // im = t2 - t0 - t1; non-negative as integers (t2 = t0 + t1 + cross terms).
     U512 im;
     sub512(im, t2, t0);
     sub512(im, im, t1);
-    return {F::redc(re), F::redc(im)};
+    return {Fp::redc(re), Fp::redc(im)};
   }
 
-  Fe2& operator+=(const Fe2& o) { return *this = *this + o; }
-  Fe2& operator-=(const Fe2& o) { return *this = *this - o; }
-  Fe2& operator*=(const Fe2& o) { return *this = *this * o; }
+  Fp2& operator+=(const Fp2& o) { return *this = *this + o; }
+  Fp2& operator-=(const Fp2& o) { return *this = *this - o; }
+  Fp2& operator*=(const Fp2& o) { return *this = *this * o; }
 
-  [[nodiscard]] Fe2 neg() const { return {a_.neg(), b_.neg()}; }
+  [[nodiscard]] Fp2 neg() const { return {a_.neg(), b_.neg()}; }
 
-  [[nodiscard]] Fe2 square() const {
+  [[nodiscard]] Fp2 square() const {
     // (a + bu)^2 = (a+b)(a-b) + 2ab u.
-    const F t0 = (a_ + b_) * (a_ - b_);
-    const F t1 = a_ * b_;
+    const Fp t0 = (a_ + b_) * (a_ - b_);
+    const Fp t1 = a_ * b_;
     return {t0, t1.dbl()};
   }
 
   /// Complex conjugate a - bu; equals the p-power Frobenius on Fp2.
-  [[nodiscard]] Fe2 conjugate() const { return {a_, b_.neg()}; }
+  [[nodiscard]] Fp2 conjugate() const { return {a_, b_.neg()}; }
 
   /// Field norm a^2 + b^2 (an Fp element).
-  [[nodiscard]] F norm() const { return a_.square() + b_.square(); }
+  [[nodiscard]] Fp norm() const { return a_.square() + b_.square(); }
 
-  [[nodiscard]] Fe2 inv() const {
-    const F n_inv = norm().inv();
+  [[nodiscard]] Fp2 inv() const {
+    const Fp n_inv = norm().inv();
     return {a_ * n_inv, b_.neg() * n_inv};
   }
 
-  [[nodiscard]] Fe2 pow(const U256& e) const {
-    Fe2 result = one();
+  [[nodiscard]] Fp2 pow(const U256& e) const {
+    Fp2 result = one();
     const unsigned n = e.bit_length();
     for (unsigned i = n; i-- > 0;) {
       result = result.square();
@@ -112,15 +101,11 @@ class Fe2 {
     return result;
   }
 
-  friend bool operator==(const Fe2&, const Fe2&) = default;
+  friend bool operator==(const Fp2&, const Fp2&) = default;
 
  private:
-  F a_{};  // real part
-  F b_{};  // coefficient of u
+  Fp a_{};  // real part
+  Fp b_{};  // coefficient of u
 };
-
-using Fp2 = Fe2<Fp>;
-/// Portable-backend twin; the differential reference for qa properties.
-using Fp2Portable = Fe2<FpPortable>;
 
 }  // namespace mccls::math

@@ -181,13 +181,12 @@ constexpr std::uint64_t sub512(U512& out, const U512& a, const U512& b) {
 //
 //   * mont_mul_cios<Params> / mont_redc_cios<Params> — fully-unrolled
 //     interleaved CIOS with the modulus folded in as compile-time constants.
-//     The unrolled form keeps the 5-limb accumulator in registers; on the
-//     reference box it runs ~1.8x faster than the limb-array loop.
+//     The unrolled form keeps the 5-limb accumulator in registers. This is
+//     the only kernel the field types (fe.hpp) run on.
 //   * mont_mul_portable / mont_redc_portable (u256.cpp) — the original
-//     loop-and-array form with a runtime modulus. It stays as the
-//     differential reference: qa property `montgomery_cios_eq_portable`
-//     asserts both agree, and -DMCCLS_PORTABLE_FIELD=ON builds the whole
-//     field stack on it.
+//     loop-and-array form with a runtime modulus, kept only as the test and
+//     bench reference: qa property `montgomery_cios_eq_portable` asserts
+//     both agree on Fp and Fq, and bench_pairing times one against the other.
 //
 // Both require an odd modulus m < 2^254 (true for Fp and Fq); outputs are
 // canonical (< m). REDC inputs must satisfy t < m * 2^256, which callers

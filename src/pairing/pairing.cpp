@@ -24,11 +24,12 @@ using math::U256;
 // recursion prescribes all take values in Fp at φ(Q) and die in f^(p−1),
 // exactly like the denominators already eliminated below.
 //
-// EVERY Miller loop in this file — affine, projective, portable, multi_pair —
-// walks THIS digit string. That is a correctness requirement, not a style
-// choice: the differential suites assert exact equality between the variants
-// even on degenerate non-subgroup inputs, where different addition chains
-// meet different lines and so have different zero-line sets.
+// BOTH Miller loops in this file — the affine reference and the shared
+// projective loop — walk THIS digit string. That is a correctness
+// requirement, not a style choice: the differential suites assert exact
+// equality between the two even on degenerate non-subgroup inputs, where
+// different addition chains meet different lines and so have different
+// zero-line sets.
 struct OrderNaf {
   std::array<signed char, 260> digit{};  // digit[0] is most significant (+1)
   unsigned len = 0;
@@ -150,31 +151,26 @@ Fp2 miller_loop_affine(const G1& p, const G1& q) {
 // 12M + 6S (doubling) / 13M + 3S (addition) with I ≈ 60–100M — the whole
 // pair() performs exactly one inversion (inside final_exponentiation).
 //
-// The loop is templated on the base-field type so the portable-backend
-// reference (pair_portable) runs the very same step sequence on the
-// loop-form Montgomery kernel; F is Fp or FpPortable.
+// pair(), miller_loop() and multi_pair() all run the one shared loop below:
+// a single-pair call is the k = 1 case of the multi-pairing.
 namespace {
 
 // One doubling step on T = (X : Y : Z): advances T <- 2T and emits the
 // scaled tangent line at φQ into (l_re, l_im). Returns false (T became
 // infinity, no line) for the vertical-tangent 2-torsion case. Kept
-// out-of-line so pair(), pair_portable() and multi_pair() all run the
-// exact same compiled step — the differential properties compare these
-// paths transition for transition, and the shared copy keeps the fat
-// multi-state loop from spilling its registers.
-template <class F>
-[[gnu::noinline]] bool proj_dbl_step(F& X, F& Y, F& Z, const F& xq, const F& yq,
-                                     F& l_re, F& l_im) {
+// out-of-line so the fat multi-state loop does not spill its registers.
+[[gnu::noinline]] bool proj_dbl_step(Fp& X, Fp& Y, Fp& Z, const Fp& xq, const Fp& yq,
+                                     Fp& l_re, Fp& l_im) {
   if (Y.is_zero()) return false;  // vertical tangent: value in Fp, omitted
-  const F xx = X.square();
-  const F yy = Y.square();
-  const F yyyy = yy.square();
-  const F zz = Z.square();
-  const F m = xx.dbl() + xx + zz.square();  // 3X² + Z⁴  (a = 1)
-  const F s = (X * yy).dbl().dbl();         // 4XY²
-  const F x3 = m.square() - s.dbl();
-  const F z3 = (Y * Z).dbl();               // 2YZ — the slope denominator
-  const F y3 = m * (s - x3) - yyyy.dbl().dbl().dbl();
+  const Fp xx = X.square();
+  const Fp yy = Y.square();
+  const Fp yyyy = yy.square();
+  const Fp zz = Z.square();
+  const Fp m = xx.dbl() + xx + zz.square();  // 3X² + Z⁴  (a = 1)
+  const Fp s = (X * yy).dbl().dbl();         // 4XY²
+  const Fp x3 = m.square() - s.dbl();
+  const Fp z3 = (Y * Z).dbl();               // 2YZ — the slope denominator
+  const Fp y3 = m * (s - x3) - yyyy.dbl().dbl().dbl();
   l_re = m * (X + xq * zz) - yy.dbl();
   l_im = yq * (z3 * zz);
   X = x3;
@@ -184,24 +180,23 @@ template <class F>
 }
 
 // One mixed-addition step T <- T + A (A affine, T != infinity): emits the
-// scaled chord line at φQ. The NAF loops pass A = P or A = −P = (xp, −yp).
+// scaled chord line at φQ. The NAF loop passes A = P or A = −P = (xp, −yp).
 // Returns false (T became infinity, no line) for the vertical chord T == −A;
 // the T == A doubling case cannot occur mid-chain for prime-order P.
-template <class F>
-[[gnu::noinline]] bool proj_add_step(F& X, F& Y, F& Z, const F& xp, const F& yp,
-                                     const F& xq, const F& yq, F& l_re, F& l_im) {
-  const F zz = Z.square();
-  const F u2 = xp * zz;
-  const F s2 = yp * (zz * Z);
+[[gnu::noinline]] bool proj_add_step(Fp& X, Fp& Y, Fp& Z, const Fp& xp, const Fp& yp,
+                                     const Fp& xq, const Fp& yq, Fp& l_re, Fp& l_im) {
+  const Fp zz = Z.square();
+  const Fp u2 = xp * zz;
+  const Fp s2 = yp * (zz * Z);
   if (u2 == X) return false;
-  const F h = u2 - X;
-  const F r = s2 - Y;
-  const F hh = h.square();
-  const F hhh = h * hh;
-  const F v = X * hh;
-  const F x3 = r.square() - hhh - v.dbl();
-  const F y3 = r * (v - x3) - Y * hhh;
-  const F z3 = Z * h;                         // the slope denominator
+  const Fp h = u2 - X;
+  const Fp r = s2 - Y;
+  const Fp hh = h.square();
+  const Fp hhh = h * hh;
+  const Fp v = X * hh;
+  const Fp x3 = r.square() - hhh - v.dbl();
+  const Fp y3 = r * (v - x3) - Y * hhh;
+  const Fp z3 = Z * h;                         // the slope denominator
   l_re = r * (xp + xq) - yp * z3;
   l_im = yq * z3;
   X = x3;
@@ -210,64 +205,81 @@ template <class F>
   return true;
 }
 
-template <class F>
-math::Fe2<F> miller_loop_proj(const F& xp, const F& yp, const F& xq, const F& yq) {
-  using F2 = math::Fe2<F>;
+// Per-pair Miller state of the shared loop.
+struct MillerState {
+  Fp xp, yp, yp_neg, xq, yq;  // affine inputs (−P precomputed for −1 digits)
+  Fp X, Y, Z;                 // running Jacobian T
+  bool t_inf;  // Z == 0, tracked explicitly so the hot path never tests it
+  bool dead;   // hit a zero line value: this pair's Miller value is zero
+};
+
+// T starts at P (affine, Z = 1) — naf.digit[0] == +1.
+MillerState start_state(const G1& p, const G1& q) {
+  return MillerState{p.x(), p.y(), p.y().neg(), q.x(), q.y(),
+                     p.x(), p.y(), Fp::one(),  false,  false};
+}
+
+// The shared NAF Miller loop: a single f² per digit covers every pair, then
+// each live pair folds its line value in. A zero line (possible only for
+// degenerate non-subgroup inputs) zeroes that pair's own Miller value, so
+// the pair is marked dead and stops contributing instead of zeroing all of
+// f. Line values depend only on the pair's own T-chain, so dead pairs never
+// change what the live ones contribute. Returns f and whether any pair died.
+std::pair<Fp2, bool> shared_miller_loop(std::span<MillerState> st) {
   const OrderNaf& naf = order_naf();
-  const F yp_neg = yp.neg();
-
-  F2 f = F2::one();
-  // T = (X : Y : Z), starts at P (affine, Z = 1) — naf.digit[0] == +1.
-  // t_inf tracks Z == 0 explicitly so the hot path never tests a field
-  // element for zero.
-  F X = xp;
-  F Y = yp;
-  F Z = F::one();
-  bool t_inf = false;
-  F l_re, l_im;
-
+  Fp2 f = Fp2::one();
+  bool any_dead = false;
+  Fp l_re, l_im;
   for (unsigned i = 1; i < naf.len; ++i) {
-    // Doubling step: f <- f^2 · l_{T,T}(φQ); T <- 2T.
     f = f.square();
-    if (!t_inf) {
-      if (proj_dbl_step(X, Y, Z, xq, yq, l_re, l_im)) {
-        f *= F2{l_re, l_im};
-      } else {
-        t_inf = true;
-      }
-    }
     const int d = naf.digit[i];
-    if (d != 0) {
-      // Addition step: f <- f · l_{T,±P}(φQ); T <- T ± P (mixed, ±P affine,
-      // −P = (xp, −yp)).
-      const F& py = d > 0 ? yp : yp_neg;
-      if (t_inf) {
-        X = xp;
-        Y = py;
-        Z = F::one();
-        t_inf = false;
-      } else if (proj_add_step(X, Y, Z, xp, py, xq, yq, l_re, l_im)) {
-        f *= F2{l_re, l_im};
-      } else {
-        t_inf = true;
+    for (MillerState& s : st) {
+      if (s.dead) continue;
+      // Doubling step: f <- f · l_{T,T}(φQ); T <- 2T.
+      if (!s.t_inf) {
+        if (proj_dbl_step(s.X, s.Y, s.Z, s.xq, s.yq, l_re, l_im)) {
+          if (l_re.is_zero() && l_im.is_zero()) {
+            s.dead = true;
+            any_dead = true;
+            continue;
+          }
+          f *= Fp2{l_re, l_im};
+        } else {
+          s.t_inf = true;
+        }
+      }
+      if (d != 0) {
+        // Addition step: f <- f · l_{T,±P}(φQ); T <- T ± P (mixed, ±P
+        // affine, −P = (xp, −yp)).
+        const Fp& py = d > 0 ? s.yp : s.yp_neg;
+        if (s.t_inf) {
+          s.X = s.xp;
+          s.Y = py;
+          s.Z = Fp::one();
+          s.t_inf = false;
+        } else if (proj_add_step(s.X, s.Y, s.Z, s.xp, py, s.xq, s.yq, l_re, l_im)) {
+          if (l_re.is_zero() && l_im.is_zero()) {
+            s.dead = true;
+            any_dead = true;
+            continue;
+          }
+          f *= Fp2{l_re, l_im};
+        } else {
+          s.t_inf = true;
+        }
       }
     }
   }
-  return f;
-}
-
-// Final-exponentiation core on any backend: f^{(p²−1)/q} = (conj(f)·f⁻¹)⁴.
-template <class F2>
-F2 final_exp_core(const F2& f) {
-  const F2 g = f.conjugate() * f.inv();
-  return g.square().square();
+  return {f, any_dead};
 }
 
 }  // namespace
 
 math::Fp2 miller_loop(const G1& p, const G1& q) {
   if (p.is_infinity() || q.is_infinity()) return Fp2::one();
-  return miller_loop_proj<Fp>(p.x(), p.y(), q.x(), q.y());
+  MillerState s = start_state(p, q);
+  const auto [f, dead] = shared_miller_loop(std::span<MillerState>(&s, 1));
+  return dead ? Fp2::zero() : f;
 }
 
 // Final exponentiation: (p²−1)/q = (p−1)·(p+1)/q = (p−1)·4.
@@ -277,7 +289,8 @@ Gt final_exponentiation(const math::Fp2& f) {
   // f == 0 can only arise from degenerate non-subgroup inputs whose pairing
   // value is unconstrained; map them to the identity instead of inverting 0.
   if (f.is_zero()) return Gt::one();
-  return Gt{final_exp_core(f)};
+  const Fp2 g = f.conjugate() * f.inv();
+  return Gt{g.square().square()};
 }
 
 std::vector<Gt> final_exponentiation_batch(std::span<const math::Fp2> fs) {
@@ -306,106 +319,30 @@ Gt pair_affine(const G1& p, const G1& q) {
   return final_exponentiation(miller_loop_affine(p, q));
 }
 
-Gt pair_portable(const G1& p, const G1& q) {
-  if (p.is_infinity() || q.is_infinity()) return Gt::one();
-  using Fpp = math::FpPortable;
-  // Fp and FpPortable share R = 2^256, so Montgomery residues carry over
-  // verbatim; only the multiplier differs.
-  const auto cast = [](const Fp& v) { return Fpp::from_raw(v.raw()); };
-  const math::Fe2<Fpp> f =
-      miller_loop_proj<Fpp>(cast(p.x()), cast(p.y()), cast(q.x()), cast(q.y()));
-  if (f.is_zero()) return Gt::one();
-  const math::Fe2<Fpp> g = final_exp_core(f);
-  return Gt{Fp2{Fp::from_raw(g.re().raw()), Fp::from_raw(g.im().raw())}};
-}
-
 Gt multi_pair(std::span<const std::pair<G1, G1>> pairs) {
-  // Per-pair Miller state. The step formulas below are the same as
-  // miller_loop_proj's, transition for transition — the differential
-  // property multi_pair_eq_product_of_pairs holds the two in lockstep.
-  struct State {
-    Fp xp, yp, yp_neg, xq, yq;  // affine inputs (−P precomputed for −1 digits)
-    Fp X, Y, Z;                 // running Jacobian T
-    bool t_inf;
-    bool dead;  // hit a zero line value: this pair's Miller value is zero
-  };
-  std::vector<State> states;
+  std::vector<MillerState> states;
   states.reserve(pairs.size());
   for (const auto& [p, q] : pairs) {
     // Infinity pairs contribute ê(P, Q) = 1 — same as pair()'s early return.
     if (p.is_infinity() || q.is_infinity()) continue;
-    states.push_back(State{p.x(), p.y(), p.y().neg(), q.x(), q.y(), p.x(),
-                           p.y(), Fp::one(), false, false});
+    states.push_back(start_state(p, q));
   }
   if (states.empty()) return Gt::one();
 
-  const OrderNaf& naf = order_naf();
-
-  // One pass of the shared loop: a single f² per bit covers every pair, then
-  // each live pair folds its line value in. A zero line (possible only for
-  // degenerate non-subgroup inputs) zeroes that pair's own Miller value;
-  // pair() maps such values to Gt::one(), so the pair must drop out of the
-  // product rather than zeroing all of f. Line values depend only on the
-  // pair's own T-chain, so one re-run with the dead pairs removed matches
-  // ∏ pair() exactly.
-  const auto run = [&](std::vector<State>& st) {
-    Fp2 f = Fp2::one();
-    bool any_dead = false;
-    Fp l_re, l_im;
-    for (unsigned i = 1; i < naf.len; ++i) {
-      f = f.square();
-      const int d = naf.digit[i];
-      for (State& s : st) {
-        if (s.dead) continue;
-        // Doubling step: f <- f · l_{T,T}(φQ); T <- 2T.
-        if (!s.t_inf) {
-          if (proj_dbl_step(s.X, s.Y, s.Z, s.xq, s.yq, l_re, l_im)) {
-            if (l_re.is_zero() && l_im.is_zero()) {
-              s.dead = true;
-              any_dead = true;
-              continue;
-            }
-            f *= Fp2{l_re, l_im};
-          } else {
-            s.t_inf = true;
-          }
-        }
-        if (d != 0) {
-          // Addition step: f <- f · l_{T,±P}(φQ); T <- T ± P.
-          const Fp& py = d > 0 ? s.yp : s.yp_neg;
-          if (s.t_inf) {
-            s.X = s.xp;
-            s.Y = py;
-            s.Z = Fp::one();
-            s.t_inf = false;
-          } else if (proj_add_step(s.X, s.Y, s.Z, s.xp, py, s.xq, s.yq, l_re,
-                                   l_im)) {
-            if (l_re.is_zero() && l_im.is_zero()) {
-              s.dead = true;
-              any_dead = true;
-              continue;
-            }
-            f *= Fp2{l_re, l_im};
-          } else {
-            s.t_inf = true;
-          }
-        }
-      }
-    }
-    return std::pair<Fp2, bool>{f, any_dead};
-  };
-
-  auto [f, any_dead] = run(states);
+  auto [f, any_dead] = shared_miller_loop(states);
   if (any_dead) {
-    std::erase_if(states, [](const State& s) { return s.dead; });
+    // pair() maps a dead pair's zero Miller value to Gt::one(), so the pair
+    // must drop out of the product: one re-run without the dead pairs
+    // matches ∏ pair() exactly (deterministic per pair: no new deaths).
+    std::erase_if(states, [](const MillerState& s) { return s.dead; });
     if (states.empty()) return Gt::one();
-    for (State& s : states) {
+    for (MillerState& s : states) {
       s.X = s.xp;
       s.Y = s.yp;
       s.Z = Fp::one();
       s.t_inf = false;
     }
-    f = run(states).first;  // deterministic per pair: no new deaths possible
+    f = shared_miller_loop(states).first;
   }
   return final_exponentiation(f);
 }

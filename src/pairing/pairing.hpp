@@ -11,7 +11,9 @@
 // (their values lie in Fp and die in the final exponentiation). The only
 // inversion in pair() is the one inside the final exponentiation
 // f^{(p²−1)/q} = (f^{p−1})^{(p+1)/q} = (conj(f)·f^{−1})^4, and
-// final_exponentiation_batch amortizes even that across a batch.
+// final_exponentiation_batch amortizes even that across a batch. pair(),
+// miller_loop() and multi_pair() run one shared loop implementation; a
+// single pairing is its one-pair case.
 //
 // The pre-optimization affine loop is retained as pair_affine(): it is the
 // reference implementation the projective loop is cross-checked against
@@ -41,12 +43,6 @@ Gt pair(const G1& p, const G1& q);
 /// the bench_pairing baseline; use pair() everywhere else.
 Gt pair_affine(const G1& p, const G1& q);
 
-/// The projective pairing on the portable Montgomery backend — the exact
-/// pre-CIOS configuration, kept callable in the same binary. It anchors the
-/// bench_pairing `pair_portable*` series (what one coalesced-batch pairing
-/// used to cost) and the CIOS-vs-portable differential property.
-Gt pair_portable(const G1& p, const G1& q);
-
 /// Computes ∏ᵢ ê(Pᵢ, Qᵢ) with ONE shared Miller loop: a single f-squaring
 /// chain accumulates every pair's line functions, and one final
 /// exponentiation reduces the product. Exactly equal to multiplying the k
@@ -57,7 +53,10 @@ Gt pair_portable(const G1& p, const G1& q);
 Gt multi_pair(std::span<const std::pair<G1, G1>> pairs);
 
 /// The unreduced Miller-loop value f_{q,P}(φQ) ∈ Fp2 (inversion-free,
-/// Jacobian coordinates). pair(P, Q) == final_exponentiation(miller_loop(P, Q)).
+/// Jacobian coordinates): multi_pair's shared loop over the single pair.
+/// Fp2::zero() when a line vanishes on a degenerate non-subgroup input, and
+/// Fp2::one() when either input is infinity.
+/// pair(P, Q) == final_exponentiation(miller_loop(P, Q)).
 math::Fp2 miller_loop(const G1& p, const G1& q);
 
 /// Final exponentiation f^{(p²−1)/q}; maps a Miller value to canonical GT.

@@ -38,6 +38,24 @@ U256 mod_m(const U256& x, const U256& m) {
 
 ec::G1 point_from(const U256& k) { return ec::G1::mul_generator(mod_m(k, Fq::modulus())); }
 
+// One field's CIOS kernels against mont_mul_portable / mont_redc_portable on
+// raw residues: a, b reduced mod m; REDC inputs t < m * 2^256, including the
+// largest one, m * 2^256 - 1.
+template <class Params>
+bool cios_eq_portable(const Scalars& s) {
+  constexpr U256 m{Params::kMod};
+  constexpr std::uint64_t n0 = Params::kN0Inv;
+  const U256 a = mod_m(s[0], m), b = mod_m(s[1], m);
+  U256 m_minus_1;
+  sub(m_minus_1, m, U256::one());
+  const U512 t = U512::from_halves(s[2], mod_m(s[3], m));
+  const U512 t_max = U512::from_halves(U256{{~0ULL, ~0ULL, ~0ULL, ~0ULL}}, m_minus_1);
+  return mont_mul_cios<Params>(a, b) == mont_mul_portable(a, b, m, n0) &&
+         mont_redc_cios<Params>(sqr_wide(a)) == mont_redc_portable(mul_wide(a, a), m, n0) &&
+         mont_redc_cios<Params>(t) == mont_redc_portable(t, m, n0) &&
+         mont_redc_cios<Params>(t_max) == mont_redc_portable(t_max, m, n0);
+}
+
 }  // namespace
 
 void register_math_properties() {
@@ -110,36 +128,23 @@ void register_math_properties() {
     return Fp::from_wide(wide) == expected;
   });
 
-  // ---- Montgomery backends (CIOS vs portable) ------------------------------
+  // ---- Montgomery kernels (CIOS vs portable reference) ---------------------
   prop("montgomery_cios_eq_portable", 96, 4, [](const Scalars& s) {
     // The unrolled compile-time-modulus kernels must be bit-identical to the
     // loop-form runtime-modulus reference on every operation the field layer
-    // routes through them: multiply, dedicated squaring, and standalone REDC.
-    using FpP = math::FpPortable;
-    const Fp a = Fp::from_u256(s[0]), b = Fp::from_u256(s[1]);
-    const FpP ap = FpP::from_raw(a.raw()), bp = FpP::from_raw(b.raw());
-    if (!((a * b).raw() == (ap * bp).raw())) return false;
-    if (!(a.square().raw() == ap.square().raw())) return false;
-    // sqr_wide is the CIOS square's front half; pin it to mul_wide exactly.
-    if (!(sqr_wide(s[2]) == mul_wide(s[2], s[2]))) return false;
-    // REDC on a lazy-accumulated t < m * 2^256 (a reduced, s[1] arbitrary).
-    const U512 t = mul_wide(a.raw(), s[1]);
-    return Fp::redc(t).raw() == FpP::redc(t).raw();
+    // routes through them — multiply, dedicated squaring, standalone REDC —
+    // in both fields. sqr_wide is the CIOS square's front half; pin it to
+    // mul_wide exactly on an unreduced input too.
+    return sqr_wide(s[2]) == mul_wide(s[2], s[2]) &&
+           cios_eq_portable<math::FpParams>(s) && cios_eq_portable<math::FqParams>(s);
   });
 
   prop("fp2_lazy_eq_eager", 128, 4, [](const Scalars& s) {
-    // The lazy-reduction Fp2 multiply against eager Karatsuba on both
-    // backends: same canonical residues, coefficient for coefficient.
+    // The lazy-reduction Fp2 multiply against eager Karatsuba: same
+    // canonical residues, coefficient for coefficient.
     const Fp2 x{Fp::from_u256(s[0]), Fp::from_u256(s[1])};
     const Fp2 y{Fp::from_u256(s[2]), Fp::from_u256(s[3])};
-    const Fp2 lazy = Fp2::mul_lazy(x, y);
-    if (!(lazy == Fp2::mul_eager(x, y))) return false;
-    using Fp2P = math::Fp2Portable;
-    using FpP = math::FpPortable;
-    const Fp2P xp{FpP::from_raw(x.re().raw()), FpP::from_raw(x.im().raw())};
-    const Fp2P yp{FpP::from_raw(y.re().raw()), FpP::from_raw(y.im().raw())};
-    const Fp2P ep = xp * yp;
-    return lazy.re().raw() == ep.re().raw() && lazy.im().raw() == ep.im().raw();
+    return Fp2::mul_lazy(x, y) == Fp2::mul_eager(x, y);
   });
 
   prop("fp2_field_laws", 96, 6, [](const Scalars& s) {

@@ -112,10 +112,40 @@ TEST(PairingProjective, OrderFourPointHitsVerticalChordBranch) {
 }
 
 TEST(PairingProjective, MillerLoopPlusFinalExpEqualsPair) {
+  // miller_loop() is multi_pair's shared loop over one pair; a vanishing
+  // line makes it return Fp2::zero(), which final_exponentiation maps to
+  // the identity (the GT-cache warm-up relies on that). Subgroup inputs,
+  // the 2-torsion point (0,0), and 2-torsion translates of subgroup points
+  // must all agree with pair() and with the affine reference. For
+  // P = P' + (0,0) the chain ends at qP = (0,0), so with Q = (0,0) the last
+  // chord passes through φQ = (0,0) and the Miller value vanishes.
   const G1& g = G1::generator();
   const G1 p = g.mul(U256::from_u64(1234567));
   const G1 q = g.mul(U256::from_u64(7654321));
-  EXPECT_EQ(final_exponentiation(miller_loop(p, q)), pair(p, q));
+  const auto t2 = G1::from_affine(Fp::zero(), Fp::zero());
+  ASSERT_TRUE(t2.has_value());
+  std::vector<std::pair<G1, G1>> inputs = {
+      {p, q},      {*t2, g},          {g, *t2},           {*t2, *t2},
+      {p + *t2, q}, {p, q + *t2},     {p + *t2, q + *t2}, {p + *t2, *t2},
+  };
+  std::uint64_t state = 0x5005;
+  for (int i = 0; i < 4; ++i) {
+    const G1 a = g.mul(random_scalar(state));
+    const G1 b = g.mul(random_scalar(state));
+    inputs.emplace_back(a + *t2, b);
+    inputs.emplace_back(a, b + *t2);
+    inputs.emplace_back(a + *t2, *t2);
+  }
+  int zero_values = 0;
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    const auto& [a, b] = inputs[i];
+    const Fp2 f = miller_loop(a, b);
+    if (f.is_zero()) ++zero_values;
+    const Gt want = pair_affine(a, b);
+    EXPECT_EQ(final_exponentiation(f), want) << "input " << i;
+    EXPECT_EQ(pair(a, b), want) << "input " << i;
+  }
+  EXPECT_GT(zero_values, 0) << "no input reached the vanishing-line path";
 }
 
 TEST(PairingProjective, BatchedFinalExponentiationMatchesScalar) {
