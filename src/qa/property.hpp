@@ -23,6 +23,7 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
+#include <ostream>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -148,6 +149,10 @@ const std::vector<Property>& registry();
 std::vector<const Property*> properties_in_layer(std::string_view layer);
 /// Lookup by exact name; nullptr when absent.
 const Property* find_property(std::string_view name);
+
+/// gtest prints a test's parameter into its listed name; printing the
+/// property name rather than its address keeps test ids stable across runs.
+inline void PrintTo(const Property* p, std::ostream* os) { *os << p->name; }
 
 namespace detail {
 /// Called by the per-layer registration units; not for direct use.
